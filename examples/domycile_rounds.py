@@ -16,7 +16,7 @@ Run with:  python examples/domycile_rounds.py
 """
 
 from repro.core.assignment import assign_operators
-from repro.core.execution import EdgeletExecutor
+from repro.core.runtime import ExecutionCoordinator
 from repro.core.planner import (
     EdgeletPlanner,
     PrivacyParameters,
@@ -92,7 +92,7 @@ def main() -> None:
           f"(presumed fault rate 0.40, target 99%)")
 
     ledger = AuditLedger()
-    executor = EdgeletExecutor(
+    executor = ExecutionCoordinator(
         simulator, network, devices, plan,
         collection_window=400.0, deadline=550.0, secure_channels=False,
         contribution_copies=2, audit_ledger=ledger,

@@ -2,7 +2,7 @@
 
 The verification muscle behind the paper's failure demonstrations:
 message-level fault injection on the opportunistic network
-(:mod:`~repro.chaos.faults`), executable Resiliency / Validity / Crowd
+(:mod:`repro.network.faults`), executable Resiliency / Validity / Crowd
 Liability invariants (:mod:`~repro.chaos.invariants`), deterministic
 seeded campaign sweeps (:mod:`~repro.chaos.campaign`), failure-schedule
 shrinking (:mod:`~repro.chaos.shrink`), replayable JSON repro

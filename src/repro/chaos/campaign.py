@@ -24,6 +24,7 @@ from repro.chaos.shrink import (
     shrink_outage_plan,
 )
 from repro.core.planner import PrivacyParameters, ResiliencyParameters
+from repro.core.runtime import ExecutionOptions
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.network.failures import FailurePlan
 from repro.network.outages import OutagePlan, OutageSpec
@@ -80,11 +81,14 @@ class TopologySpec:
 
 
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(ExecutionOptions):
     """Fully deterministic description of one chaos run.
 
     Serializable; :func:`run_single` on an identical spec in any
-    process reproduces the identical execution.
+    process reproduces the identical execution.  The execution options
+    (reliability, φ-accrual ``detector``, generation ``fencing``,
+    ``phase_deadline``, ``engine``) are inherited from
+    :class:`~repro.core.runtime.ExecutionOptions`.
     """
 
     seed: int
@@ -112,8 +116,6 @@ class RunSpec:
     secure_channels: bool = False
     validity_tolerance: float = 0.75
     liability_max_share: float = 0.5
-    reliability: bool = False
-    phase_deadline: float | None = None
     #: ``"pinned"`` replays the legacy hand-assembled physical
     #: parameters byte-for-byte; ``"cost"`` lets the
     #: :class:`~repro.plan.optimizer.PhysicalOptimizer` pick strategy,
@@ -123,12 +125,6 @@ class RunSpec:
     #: fully-resolved plan (replay/shrink path; overrides the spec)
     outage_spec: OutageSpec | None = None
     outage_plan: OutagePlan | None = None
-    #: φ-accrual adaptive failure detection (needs ``reliability``)
-    detector: bool = False
-    #: generation-fenced takeover (split-brain-safe reprovisioning)
-    fencing: bool = False
-    #: operator engine: ``"row"`` or ``"columnar"`` (bit-identical)
-    engine: str = "row"
 
     def to_dict(self) -> dict[str, Any]:
         data = {
@@ -155,8 +151,6 @@ class RunSpec:
             "secure_channels": self.secure_channels,
             "validity_tolerance": self.validity_tolerance,
             "liability_max_share": self.liability_max_share,
-            "reliability": self.reliability,
-            "phase_deadline": self.phase_deadline,
             "optimizer": self.optimizer,
             "outage_spec": (
                 self.outage_spec.to_dict()
@@ -168,9 +162,7 @@ class RunSpec:
                 if self.outage_plan is not None
                 else None
             ),
-            "detector": self.detector,
-            "fencing": self.fencing,
-            "engine": self.engine,
+            **self.options_dict(),
         }
         return data
 
@@ -203,12 +195,6 @@ class RunSpec:
             secure_channels=bool(data.get("secure_channels", False)),
             validity_tolerance=float(data.get("validity_tolerance", 0.75)),
             liability_max_share=float(data.get("liability_max_share", 0.5)),
-            reliability=bool(data.get("reliability", False)),
-            phase_deadline=(
-                float(data["phase_deadline"])
-                if data.get("phase_deadline") is not None
-                else None
-            ),
             optimizer=str(data.get("optimizer", OPTIMIZER_PINNED)),
             outage_spec=(
                 OutageSpec.from_dict(outage_spec)
@@ -220,9 +206,7 @@ class RunSpec:
                 if outage_plan is not None
                 else None
             ),
-            detector=bool(data.get("detector", False)),
-            fencing=bool(data.get("fencing", False)),
-            engine=str(data.get("engine", "row")),
+            **ExecutionOptions.from_dict(data).options_dict(),
         )
 
 
@@ -296,12 +280,9 @@ def run_single(spec: RunSpec, telemetry: Any = None) -> RunOutcome:
         scenario_tag=spec.tag,
         failure_plan=spec.failure_plan,
         fault_specs=spec.fault_specs or None,
-        reliability=spec.reliability,
-        phase_deadline=spec.phase_deadline,
         outage_spec=spec.outage_spec,
         outage_plan=spec.outage_plan,
-        detector=spec.detector,
-        fencing=spec.fencing,
+        **spec.options_dict(),
     )
     scenario = Scenario(config, telemetry=telemetry)
     substrate = (
@@ -346,14 +327,15 @@ def run_single(spec: RunSpec, telemetry: Any = None) -> RunOutcome:
 
 
 @dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(ExecutionOptions):
     """Parameters of one chaos campaign sweep.
 
     The sweep grid is the cross-product of ``strategies``,
     ``crash_probabilities``, ``fault_mixes``, and ``topologies``; run
     ``i`` executes grid cell ``i % len(grid)`` with seed
     ``seed + i * 100003``, so adding runs extends coverage without
-    changing earlier runs.
+    changing earlier runs.  Every run inherits the campaign's
+    :class:`~repro.core.runtime.ExecutionOptions`.
     """
 
     seed: int = 0
@@ -374,13 +356,8 @@ class CampaignConfig:
     secure_channels: bool = False
     validity_tolerance: float = 0.75
     liability_max_share: float = 0.5
-    reliability: bool = False
-    phase_deadline: float | None = None
     optimizer: str = OPTIMIZER_PINNED
     outage_spec: OutageSpec | None = None
-    detector: bool = False
-    fencing: bool = False
-    engine: str = "row"
     shrink: bool = True
     shrink_budget: int = 24
 
@@ -418,13 +395,9 @@ class CampaignConfig:
             secure_channels=self.secure_channels,
             validity_tolerance=self.validity_tolerance,
             liability_max_share=self.liability_max_share,
-            reliability=self.reliability,
-            phase_deadline=self.phase_deadline,
             optimizer=self.optimizer,
             outage_spec=self.outage_spec,
-            detector=self.detector,
-            fencing=self.fencing,
-            engine=self.engine,
+            **self.options_dict(),
         )
 
 

@@ -149,7 +149,7 @@ def check_resiliency(record: RunRecord) -> Violation | None:
     querier_device = querier_ops[0].assigned_to if querier_ops else None
     if querier_device is None or network.is_dead(querier_device):
         return None
-    for name, runtime in getattr(executor, "_combiners", {}).items():
+    for name, runtime in executor.combiners.items():
         combiner_op = result.plan.operator(name)
         if combiner_op.assigned_to is None:
             continue

@@ -60,6 +60,7 @@ from typing import Sequence
 
 from repro.core.planner import PrivacyParameters, ResiliencyParameters
 from repro.core.resiliency import minimum_overcollection, query_success_probability
+from repro.core.runtime import ENGINES, ExecutionOptions
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.dashboard import render_plan, render_report
 from repro.manager.scenario import Scenario, ScenarioConfig
@@ -113,6 +114,41 @@ def _parse_probabilities(raw: str) -> tuple[float, ...]:
     return values
 
 
+def _execution_parents() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The ``--engine`` parent and the execution parent chained on it.
+
+    Every :class:`ExecutionOptions` field is a flag here and nowhere
+    else: ``plan``/``explain`` take the engine parent, the subcommands
+    that execute queries take the full execution parent.
+    """
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--engine", choices=ENGINES,
+                        default=ExecutionOptions.engine,
+                        help="operator engine (bit-identical results)")
+    execution = argparse.ArgumentParser(add_help=False, parents=[engine])
+    execution.add_argument("--reliability", action="store_true",
+                           help="enable ACK/retransmission transport and "
+                                "query-level recovery (watchdogs, "
+                                "reprovisioning, graceful degradation)")
+    execution.add_argument("--phase-deadline", type=float,
+                           default=ExecutionOptions.phase_deadline,
+                           metavar="SECONDS",
+                           help="computation-phase deadline for the recovery "
+                                "watchdog (defaults to 85%% of the query "
+                                "deadline)")
+    execution.add_argument("--detector", action="store_true",
+                           help="adaptive φ-accrual failure detection: "
+                                "suspect partitioned/gray devices from "
+                                "per-link delivery history instead of "
+                                "waiting out the fixed watchdog (requires "
+                                "--reliability to matter)")
+    execution.add_argument("--fencing", action="store_true",
+                           help="generation-numbered fencing tokens on "
+                                "takeover so a resurfacing predecessor "
+                                "cannot split-brain a cell")
+    return engine, execution
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     # importing outages registers the topology-outage knobs, so the
@@ -128,8 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="Edgelet computing reproduction CLI"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    engine_parent, execution_parent = _execution_parents()
 
-    plan = sub.add_parser("plan", help="build and display a QEP (demo Part 1)")
+    plan = sub.add_parser("plan", parents=[engine_parent],
+                          help="build and display a QEP (demo Part 1)")
     plan.add_argument("--sql", default=DEFAULT_SQL, help="aggregate SQL query")
     plan.add_argument("--cardinality", type=int, default=2000,
                       help="target snapshot cardinality C")
@@ -142,11 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--target-success", type=float, default=0.99)
     plan.add_argument("--strategy", choices=("overcollection", "backup"),
                       default="overcollection")
-    plan.add_argument("--engine", choices=("row", "columnar"), default="row",
-                      help="operator engine (bit-identical results)")
     plan.add_argument("--contributors", type=int, default=20)
 
-    run = sub.add_parser("run", help="execute a query on a synthetic swarm")
+    run = sub.add_parser("run", parents=[execution_parent],
+                         help="execute a query on a synthetic swarm")
     run.add_argument("--sql", default=DEFAULT_SQL)
     run.add_argument("--contributors", type=int, default=200)
     run.add_argument("--processors", type=int, default=40)
@@ -157,24 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--message-loss", type=float, default=0.0)
     run.add_argument("--crash-probability", type=float, default=0.0)
     run.add_argument("--secure-channels", action="store_true")
-    run.add_argument("--reliability", action="store_true",
-                     help="enable ACK/retransmission transport and "
-                          "query-level recovery (watchdogs, reprovisioning, "
-                          "graceful degradation)")
-    run.add_argument("--phase-deadline", type=float, default=None,
-                     metavar="SECONDS",
-                     help="computation-phase deadline for the recovery "
-                          "watchdog (defaults to 85%% of the query deadline)")
     run.add_argument("--fault-mix", default=None, metavar="MIX", help=mix_help)
-    run.add_argument("--detector", action="store_true",
-                     help="adaptive φ-accrual failure detection: suspect "
-                          "partitioned/gray devices from per-link delivery "
-                          "history instead of waiting out the fixed watchdog")
-    run.add_argument("--fencing", action="store_true",
-                     help="generation-numbered fencing tokens on takeover so "
-                          "a resurfacing predecessor cannot split-brain a cell")
-    run.add_argument("--engine", choices=("row", "columnar"), default="row",
-                     help="operator engine (bit-identical results)")
     run.add_argument("--strategy", choices=("overcollection", "backup"),
                      default="overcollection")
     run.add_argument("--seed", type=int, default=0)
@@ -201,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = sub.add_parser(
         "explain",
+        parents=[engine_parent],
         help="show the optimizer's candidate table for a query",
     )
     explain.add_argument("--sql", default=DEFAULT_SQL, help="aggregate SQL query")
@@ -225,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the profile's contributor count")
     explain.add_argument("--processors", type=int, default=None,
                          help="override the profile's processor count")
-    explain.add_argument("--engine", choices=("row", "columnar"),
-                         default="row",
-                         help="operator engine (bit-identical results)")
     explain.add_argument("--pinned", action="store_true",
                          help="score the caller-pinned plan instead of "
                               "running the cost-based optimizer")
@@ -240,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     resiliency.add_argument("--target-success", type=float, default=0.99)
 
     chaos = sub.add_parser(
-        "chaos", help="seeded chaos campaign with invariant checking"
+        "chaos", parents=[execution_parent],
+        help="seeded chaos campaign with invariant checking",
     )
     chaos.add_argument("--seed", type=int, default=0,
                        help="campaign seed; run i uses seed + i*100003")
@@ -255,20 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--disconnect-probability", type=float, default=0.0)
     chaos.add_argument("--message-loss", type=float, default=0.0,
                        help="per-message network loss probability")
-    chaos.add_argument("--reliability", action="store_true",
-                       help="run every scenario with the reliable transport "
-                            "and query-level recovery enabled")
-    chaos.add_argument("--detector", action="store_true",
-                       help="adaptive φ-accrual failure detection on every "
-                            "run (requires --reliability to matter)")
-    chaos.add_argument("--fencing", action="store_true",
-                       help="generation-fenced takeover on every run; the "
-                            "no-split-brain invariant then checks the "
-                            "fire/arrival evidence logs")
-    chaos.add_argument("--phase-deadline", type=float, default=None,
-                       metavar="SECONDS",
-                       help="computation-phase deadline for the recovery "
-                            "watchdog")
     chaos.add_argument("--contributors", type=int, default=24)
     chaos.add_argument("--processors", type=int, default=20)
     chaos.add_argument("--rows", type=int, default=48)
@@ -296,9 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--workload-max-concurrent", type=int, default=8,
                        metavar="K",
                        help="admission cap of the chaos workload")
-    chaos.add_argument("--engine", choices=("row", "columnar"),
-                       default="row",
-                       help="operator engine for every run")
     chaos.add_argument("--replay", metavar="PATH", default=None,
                        help="replay one repro artifact instead of sweeping")
     chaos.add_argument("--metrics-out", metavar="PATH", default=None,
@@ -308,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     workload = sub.add_parser(
         "workload",
+        parents=[execution_parent],
         help="run a deterministic multi-query workload over one shared swarm",
     )
     workload.add_argument("--queries", type=int, default=10,
@@ -331,13 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--sql", default=DEFAULT_SQL)
     workload.add_argument("--collection-window", type=float, default=5.0)
     workload.add_argument("--deadline", type=float, default=12.0)
-    workload.add_argument("--reliability", action="store_true",
-                          help="per-query reliable transport and recovery")
     workload.add_argument("--standbys", type=int, default=0,
                           help="extra devices leased per reliable query")
-    workload.add_argument("--engine", choices=("row", "columnar"),
-                          default="row",
-                          help="operator engine for every query")
     workload.add_argument("--seed", type=int, default=0)
     workload.add_argument("--per-query", action="store_true",
                           help="print the per-query lifecycle table")
@@ -351,6 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     continuous = sub.add_parser(
         "continuous",
+        parents=[execution_parent],
         help="run a standing query over a churning device population",
     )
     continuous.add_argument("--windows", type=int, default=10,
@@ -385,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     continuous.add_argument("--sql", default=DEFAULT_SQL)
     continuous.add_argument("--collection-window", type=float, default=5.0)
     continuous.add_argument("--deadline", type=float, default=12.0)
-    continuous.add_argument("--reliability", action="store_true",
-                            help="per-window reliable transport and recovery")
     continuous.add_argument("--standbys", type=int, default=0,
                             help="extra devices leased per reliable window")
     continuous.add_argument("--fault-mix", default=None, metavar="MIX",
@@ -395,9 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     continuous.add_argument("--check-invariants", action="store_true",
                             help="run the full invariant suite on every "
                                  "window (soak mode)")
-    continuous.add_argument("--engine", choices=("row", "columnar"),
-                            default="row",
-                            help="operator engine for every window")
     continuous.add_argument("--seed", type=int, default=0)
     continuous.add_argument("--per-window", action="store_true",
                             help="print the per-window lineage table")
@@ -502,6 +496,18 @@ def _split_mix(raw: str | None):
     return fault_specs, outage_spec
 
 
+def _reject_outage_mix(command: str) -> int:
+    """One-line diagnostic for outage knobs where only message knobs
+    apply; returns the usage-error exit code."""
+    print(
+        f"{command} --fault-mix takes message knobs only; outage knobs "
+        "need a resolved device population — use a chaos campaign or "
+        "the run subcommand",
+        file=sys.stderr,
+    )
+    return 2
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     rows = generate_health_rows(args.rows, seed=args.seed)
     fault_specs, outage_spec = _split_mix(args.fault_mix)
@@ -514,13 +520,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         message_loss=args.message_loss,
         crash_probability=args.crash_probability,
         secure_channels=args.secure_channels,
-        reliability=args.reliability,
-        phase_deadline=args.phase_deadline,
         fault_specs=fault_specs,
         outage_spec=outage_spec,
-        detector=args.detector,
-        fencing=args.fencing,
         seed=args.seed,
+        **ExecutionOptions.from_args(args).options_dict(),
     )
     telemetry = Telemetry()
     scenario = Scenario(config, telemetry=telemetry)
@@ -679,15 +682,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         ),
         backup_replicas=args.backup_replicas,
         validity_tolerance=args.validity_tolerance,
-        reliability=args.reliability,
-        phase_deadline=args.phase_deadline,
         optimizer=args.optimizer,
         outage_spec=outage_spec,
-        detector=args.detector,
-        fencing=args.fencing,
-        engine=args.engine,
         shrink=not args.no_shrink,
         shrink_budget=args.shrink_budget,
+        **ExecutionOptions.from_args(args).options_dict(),
     )
     telemetry = Telemetry()
     result = run_campaign(config, telemetry=telemetry)
@@ -721,19 +720,20 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_chaos_workload(args: argparse.Namespace) -> int:
     from repro.chaos import (
         WorkloadChaosConfig,
-        parse_fault_mix,
         run_workload,
         shrink_workload_plan,
     )
     from repro.workload import WorkloadSpec
 
+    fault_specs, outage_spec = _split_mix(args.fault_mix)
+    if outage_spec is not None:
+        return _reject_outage_mix("chaos --workload")
     spec = WorkloadSpec(
         n_queries=args.workload,
         max_concurrent=args.workload_max_concurrent,
         queue_capacity=2 * args.workload_max_concurrent,
         seed=args.seed,
-        reliability=args.reliability,
-        engine=args.engine,
+        **ExecutionOptions.from_args(args).options_dict(),
     )
     config = WorkloadChaosConfig(
         n_contributors=args.contributors,
@@ -741,7 +741,7 @@ def _cmd_chaos_workload(args: argparse.Namespace) -> int:
         crash_probability=max(args.failure_probability),
         disconnect_probability=args.disconnect_probability,
         message_loss=args.message_loss,
-        fault_specs=parse_fault_mix(args.fault_mix) if args.fault_mix else (),
+        fault_specs=fault_specs or (),
         validity_tolerance=args.validity_tolerance,
     )
     telemetry = Telemetry()
@@ -796,9 +796,8 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         max_raw_per_edgelet=args.max_raw,
         collection_window=args.collection_window,
         deadline=args.deadline,
-        reliability=args.reliability,
-        engine=args.engine,
         sql=args.sql,
+        **ExecutionOptions.from_args(args).options_dict(),
     )
     telemetry = Telemetry()
     engine = WorkloadEngine(
@@ -883,11 +882,10 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
         strategy=args.strategy,
         collection_window=args.collection_window,
         deadline=args.deadline,
-        reliability=args.reliability,
         incremental=not args.full_recollection,
-        engine=args.engine,
         seed=args.seed,
         sql=args.sql,
+        **ExecutionOptions.from_args(args).options_dict(),
     )
     churn = None
     if args.churn > 0 or args.data_change > 0 or args.arrival_rate:
@@ -897,20 +895,14 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
             data_change_probability=args.data_change,
             seed=args.seed,
         )
+    fault_specs, outage_spec = _split_mix(args.fault_mix)
+    if outage_spec is not None:
+        return _reject_outage_mix("continuous")
     telemetry = Telemetry()
     exit_code = 0
     if args.check_invariants:
         from repro.chaos import ContinuousChaosConfig, run_soak
 
-        fault_specs, outage_spec = _split_mix(args.fault_mix)
-        if outage_spec is not None:
-            print(
-                "continuous --fault-mix takes message knobs only; "
-                "outage knobs need a resolved device population — "
-                "use the chaos or run subcommands",
-                file=sys.stderr,
-            )
-            return 2
         config = ContinuousChaosConfig(
             n_contributors=args.contributors,
             n_processors=args.processors,
@@ -942,15 +934,6 @@ def _cmd_continuous(args: argparse.Namespace) -> int:
     else:
         from repro.continuous import ContinuousEngine
 
-        fault_specs, outage_spec = _split_mix(args.fault_mix)
-        if outage_spec is not None:
-            print(
-                "continuous --fault-mix takes message knobs only; "
-                "outage knobs need a resolved device population — "
-                "use the chaos or run subcommands",
-                file=sys.stderr,
-            )
-            return 2
         engine = ContinuousEngine(
             spec,
             churn=churn,

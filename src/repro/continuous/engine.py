@@ -43,6 +43,7 @@ from repro.core.qep import OperatorRole
 from repro.core.runtime import (
     ContributionCache,
     ExecutionCoordinator,
+    execution_wiring,
 )
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.devices.churn import ChurnModel, ChurnSpec, WindowChurn
@@ -262,7 +263,7 @@ class ContinuousEngine:
             fault_specs=fault_specs,
             failure_plan=failure_plan,
             outage_plan=outage_plan,
-            reliability=spec.reliability,
+            **spec.options_dict(),
         )
         self.scenario = Scenario(self.scenario_config, telemetry=telemetry)
         self.scenario.network.per_query_rng = True
@@ -572,19 +573,10 @@ class ContinuousEngine:
         ]
 
         endpoint = self.mux.endpoint(window_id)
-        transport = None
-        recovery = None
         window_seed = self.spec.window_seed(record.index)
-        if self.spec.reliability:
-            from repro.core.runtime.recovery import RecoveryConfig
-            from repro.network.reliable import ReliableTransport
-
-            transport = ReliableTransport(
-                endpoint, seed=window_seed + 4, telemetry=self.telemetry
-            )
-            recovery = RecoveryConfig(
-                phase_deadline=self.scenario_config.phase_deadline
-            )
+        wiring = execution_wiring(
+            self.spec, endpoint, seed=window_seed, telemetry=self.telemetry
+        )
         executor = ExecutionCoordinator(
             simulator=sim,
             strategy=compiled.strategy_runtime(),
@@ -596,14 +588,13 @@ class ContinuousEngine:
             secure_channels=False,
             telemetry=self.telemetry,
             seed=window_seed,
-            transport=transport,
-            recovery=recovery,
             standby_devices=record.standbys,
             contribution_cache=self.cache,
+            **wiring,
         )
         record.plan = plan
         record.executor = executor
-        record.transport = transport
+        record.transport = wiring["transport"]
         record.outcome = "running"
         self._roll_accounting(record)
         horizon = executor.start()

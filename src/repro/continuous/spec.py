@@ -29,14 +29,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.core.runtime import ExecutionOptions
+
 __all__ = ["WINDOW_MODES", "StandingQuerySpec"]
 
 WINDOW_MODES = ("tumbling", "sliding")
 
 
 @dataclass(frozen=True)
-class StandingQuerySpec:
+class StandingQuerySpec(ExecutionOptions):
     """Seeded description of one standing query.
+
+    Every window runs under the inherited
+    :class:`~repro.core.runtime.ExecutionOptions` (``reliability`` gives
+    each window its own ACK/retransmission transport plus the recovery
+    watchdogs).
 
     Attributes:
         name: id prefix for windows (``{name}{seed}-w{index:03d}``).
@@ -60,13 +67,9 @@ class StandingQuerySpec:
         strategy: ``"overcollection"`` or ``"backup"`` for every window.
         collection_window: per-window collection phase length.
         deadline: per-window deadline.
-        reliability: run every window over its own ACK/retransmission
-            transport plus the recovery watchdogs.
         incremental: ship delta stamps for unchanged contributions
             (see :mod:`repro.core.runtime.incremental`); off = full
             recollection every window.
-        engine: operator engine every window executes under — ``"row"``
-            or ``"columnar"``; both produce byte-identical windows.
         seed: master seed for window seeds and the default churn model.
         sql: the grouping-sets aggregate every window computes.
     """
@@ -84,9 +87,7 @@ class StandingQuerySpec:
     strategy: str = "overcollection"
     collection_window: float = 5.0
     deadline: float = 12.0
-    reliability: bool = False
     incremental: bool = True
-    engine: str = "row"
     seed: int = 0
     sql: str = (
         "SELECT count(*), avg(age) FROM health "
@@ -94,6 +95,7 @@ class StandingQuerySpec:
     )
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.name:
             raise ValueError("name must be non-empty")
         if self.max_windows <= 0:
@@ -115,8 +117,6 @@ class StandingQuerySpec:
             )
         if self.strategy not in ("overcollection", "backup"):
             raise ValueError("strategy must be overcollection or backup")
-        if self.engine not in ("row", "columnar"):
-            raise ValueError(f"unknown engine {self.engine!r}")
 
     @property
     def freshness_horizon(self) -> float:

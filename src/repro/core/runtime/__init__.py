@@ -1,8 +1,8 @@
 """Per-role operator runtimes and the execution coordinator.
 
-The legacy ``EdgeletExecutor`` god-class is decomposed into one small
-runtime per :class:`repro.core.qep.OperatorRole` plus a pluggable
-resiliency strategy:
+Query execution is decomposed into one small runtime per
+:class:`repro.core.qep.OperatorRole` plus a pluggable resiliency
+strategy:
 
 ========================  ==============================================
 module                    owns
@@ -17,10 +17,8 @@ module                    owns
 :mod:`.recovery`          phase watchdogs and standby reprovisioning
 :mod:`.incremental`       cross-window contribution cache (delta stamps)
 :mod:`.coordinator`       routing, dedup, phase timers, run horizon
+:mod:`.options`           the shared execution options and their wiring
 ========================  ==============================================
-
-``repro.core.execution`` and ``repro.core.backup_execution`` remain as
-deprecated thin shims over :class:`ExecutionCoordinator`.
 """
 
 from repro.core.runtime.builder import BuilderRuntime, commit_snapshot, ship_partition
@@ -30,6 +28,7 @@ from repro.core.runtime.context import ExecutionContext
 from repro.core.runtime.contributor import ContributorRuntime
 from repro.core.runtime.coordinator import ExecutionCoordinator, infer_strategy
 from repro.core.runtime.incremental import STAMP_BYTES, ContributionCache
+from repro.core.runtime.options import ENGINES, ExecutionOptions, execution_wiring
 from repro.core.runtime.querier import QuerierRuntime
 from repro.core.runtime.recovery import RecoveryConfig, RecoveryRuntime
 from repro.core.runtime.report import ExecutionError, ExecutionReport, KMeansOutcome
@@ -47,9 +46,11 @@ __all__ = [
     "ComputerRuntime",
     "ContributionCache",
     "ContributorRuntime",
+    "ENGINES",
     "ExecutionContext",
     "ExecutionCoordinator",
     "ExecutionError",
+    "ExecutionOptions",
     "ExecutionReport",
     "KMeansOutcome",
     "OvercollectionStrategy",
@@ -59,6 +60,7 @@ __all__ = [
     "STAMP_BYTES",
     "StrategyRuntime",
     "commit_snapshot",
+    "execution_wiring",
     "infer_strategy",
     "ship_partition",
     "stitch_groups",

@@ -63,10 +63,12 @@ def infer_strategy(
 class ExecutionCoordinator:
     """Executes one query plan across the simulated edgelet swarm.
 
-    Accepts the same arguments as the legacy ``EdgeletExecutor`` plus
-    ``strategy`` (a :class:`StrategyRuntime`; inferred from the plan
-    metadata when omitted) and ``takeover_timeout`` (used only by an
-    inferred :class:`BackupStrategy`).
+    ``strategy`` (a :class:`StrategyRuntime`) is inferred from the plan
+    metadata when omitted; ``takeover_timeout`` is used only by an
+    inferred :class:`BackupStrategy`.
+    :func:`~repro.core.runtime.options.execution_wiring` builds the
+    ``transport``, ``recovery``, ``fencing`` and ``detector`` arguments
+    from the shared execution options.
 
     Args:
         simulator: the discrete-event clock shared with the network.

@@ -22,7 +22,12 @@ from repro.core.planner import (
 )
 from repro.core.privacy import ExposureReport, measure_exposure
 from repro.core.qep import OperatorRole, QueryExecutionPlan
-from repro.core.runtime import ExecutionCoordinator, ExecutionReport
+from repro.core.runtime import (
+    ExecutionCoordinator,
+    ExecutionOptions,
+    ExecutionReport,
+    execution_wiring,
+)
 from repro.devices.attestation import AttestationAuthority, AttestationError
 from repro.devices.edgelet import Edgelet
 from repro.devices.profiles import DeviceProfile, HOME_BOX, PC_SGX, SMARTPHONE
@@ -45,7 +50,7 @@ _scenario_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(ExecutionOptions):
     """Declarative description of one demonstration scenario.
 
     Attributes:
@@ -93,23 +98,13 @@ class ScenarioConfig:
         outage_plan: optional pre-resolved
             :class:`~repro.network.outages.OutagePlan` installed
             verbatim (chaos replay path); overrides ``outage_spec``.
-        detector: feed transport delivery observations into a φ-accrual
-            failure detector and let the recovery watchdog reprovision
-            *suspected* (partitioned/gray, nominally online) Computers;
-            only meaningful with ``reliability``.
-        fencing: stamp generation-numbered fencing tokens on
-            reprovisioned partitions so a stale predecessor's partial
-            loses at the combiner (split-brain-safe takeover).
-        reliability: wire the
-            :class:`~repro.network.reliable.ReliableTransport` overlay
-            (ACK/retransmission, adaptive timeouts, circuit breakers —
-            jitter RNG derived from ``seed + 4``) plus the query-level
-            :class:`~repro.core.runtime.recovery.RecoveryConfig`
-            (phase watchdogs, standby reprovisioning, graceful
-            degradation).
-        phase_deadline: computation-phase deadline offset forwarded to
-            the recovery layer (``None`` = 85% of the query deadline);
-            only meaningful with ``reliability``.
+
+    The execution options (``reliability``, ``phase_deadline``,
+    ``detector``, ``fencing``, ``engine``) come from
+    :class:`~repro.core.runtime.ExecutionOptions`; under
+    ``reliability`` the transport's jitter RNG derives from
+    ``seed + 4``.  ``engine`` is carried for callers that compile
+    against this config; a compiled query keeps its own engine.
     """
 
     n_contributors: int
@@ -134,16 +129,11 @@ class ScenarioConfig:
     scenario_tag: str | None = None
     failure_plan: Any = None
     fault_specs: Any = None
-    reliability: bool = False
-    phase_deadline: float | None = None
     outage_spec: Any = None
     outage_plan: Any = None
-    detector: bool = False
-    fencing: bool = False
 
     def __post_init__(self) -> None:
-        if self.phase_deadline is not None and self.phase_deadline <= 0:
-            raise ValueError("phase_deadline must be positive")
+        super().__post_init__()
         if self.n_contributors <= 0:
             raise ValueError("n_contributors must be positive")
         if self.n_processors <= 0:
@@ -510,18 +500,12 @@ class Scenario:
         eligible_ids = self.eligible_processor_ids()
         self.assign_query(plan, eligible_ids)
 
-        transport = None
-        recovery = None
+        wiring = execution_wiring(
+            self.config, self.network, seed=self.config.seed,
+            telemetry=self.telemetry,
+        )
         standbys: list[str] = []
         if self.config.reliability:
-            from repro.core.runtime.recovery import RecoveryConfig
-            from repro.network.reliable import ReliableTransport
-
-            transport = ReliableTransport(
-                self.network, seed=self.config.seed + 4,
-                telemetry=self.telemetry,
-            )
-            recovery = RecoveryConfig(phase_deadline=self.config.phase_deadline)
             assigned = {
                 op.assigned_to for op in plan.operators() if op.assigned_to
             }
@@ -549,11 +533,8 @@ class Scenario:
             secure_channels=self.config.secure_channels,
             telemetry=self.telemetry,
             seed=self.config.seed,
-            transport=transport,
-            recovery=recovery,
             standby_devices=standbys,
-            fencing=self.config.fencing,
-            detector=self.config.detector,
+            **wiring,
         )
 
         if self.config.caregiver_period is not None:
@@ -631,7 +612,7 @@ class Scenario:
             executor=executor,
             failure_events=failure_events,
             fault_injector=self.network.faults,
-            transport=transport,
+            transport=wiring["transport"],
             outage_plan=outage_plan,
         )
 

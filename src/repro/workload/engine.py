@@ -38,7 +38,7 @@ from repro.core.planner import (
     PrivacyParameters,
     ResiliencyParameters,
 )
-from repro.core.runtime import ExecutionCoordinator
+from repro.core.runtime import ExecutionCoordinator, execution_wiring
 from repro.data.health import HEALTH_SCHEMA, generate_health_rows
 from repro.manager.admission import (
     ADMITTED,
@@ -221,7 +221,7 @@ class WorkloadEngine:
             scenario_tag=scenario_tag or f"wl{spec.seed}",
             fault_specs=fault_specs,
             failure_plan=failure_plan,
-            reliability=spec.reliability,
+            **spec.options_dict(),
         )
         self.scenario = Scenario(self.scenario_config, telemetry=telemetry)
         self.scenario.network.per_query_rng = True
@@ -360,18 +360,9 @@ class WorkloadEngine:
         self.scenario.assign_query(plan, record.leased)
 
         endpoint = self.mux.endpoint(query_id)
-        transport = None
-        recovery = None
-        if self.spec.reliability:
-            from repro.core.runtime.recovery import RecoveryConfig
-            from repro.network.reliable import ReliableTransport
-
-            transport = ReliableTransport(
-                endpoint, seed=arrival.seed + 4, telemetry=self.telemetry
-            )
-            recovery = RecoveryConfig(
-                phase_deadline=self.scenario_config.phase_deadline
-            )
+        wiring = execution_wiring(
+            self.spec, endpoint, seed=arrival.seed, telemetry=self.telemetry
+        )
         executor = ExecutionCoordinator(
             simulator=sim,
             strategy=compiled.strategy_runtime(),
@@ -383,13 +374,12 @@ class WorkloadEngine:
             secure_channels=False,
             telemetry=self.telemetry,
             seed=arrival.seed,
-            transport=transport,
-            recovery=recovery,
             standby_devices=record.standbys,
+            **wiring,
         )
         record.plan = plan
         record.executor = executor
-        record.transport = transport
+        record.transport = wiring["transport"]
         record.started_at = sim.now
         record.outcome = "running"
         horizon = executor.start()
@@ -516,18 +506,6 @@ def serial_fingerprints(
         )
         scenario.assign_query(plan, record.leased)
         endpoint = mux.endpoint(arrival.query_id)
-        transport = None
-        recovery = None
-        if spec.reliability:
-            from repro.core.runtime.recovery import RecoveryConfig
-            from repro.network.reliable import ReliableTransport
-
-            transport = ReliableTransport(
-                endpoint, seed=arrival.seed + 4, telemetry=telemetry
-            )
-            recovery = RecoveryConfig(
-                phase_deadline=engine.scenario_config.phase_deadline
-            )
         executor = ExecutionCoordinator(
             simulator=sim,
             strategy=compiled.strategy_runtime(),
@@ -539,9 +517,10 @@ def serial_fingerprints(
             secure_channels=False,
             telemetry=telemetry,
             seed=arrival.seed,
-            transport=transport,
-            recovery=recovery,
             standby_devices=record.standbys,
+            **execution_wiring(
+                spec, endpoint, seed=arrival.seed, telemetry=telemetry
+            ),
         )
         report = executor.run()
         fingerprints[arrival.query_id] = report_fingerprint(

@@ -25,6 +25,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.core.runtime import ExecutionOptions
+
 __all__ = ["ARRIVAL_PROCESSES", "QueryArrival", "WorkloadSpec"]
 
 ARRIVAL_PROCESSES = ("poisson", "uniform", "closed")
@@ -52,8 +54,13 @@ class QueryArrival:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(ExecutionOptions):
     """Seeded description of one multi-query workload.
+
+    Every query runs under the inherited
+    :class:`~repro.core.runtime.ExecutionOptions` (``reliability`` gives
+    each query its own ACK/retransmission transport plus the recovery
+    watchdogs).
 
     Attributes:
         n_queries: total arrivals to generate.
@@ -71,11 +78,6 @@ class WorkloadSpec:
         target_success: per-query completion probability target.
         collection_window: per-query collection phase length.
         deadline: per-query deadline.
-        reliability: run every query over its own ACK/retransmission
-            transport plus the recovery watchdogs.
-        engine: operator engine every query executes under — ``"row"``
-            (tuple-at-a-time walk) or ``"columnar"`` (vectorized column
-            blocks); both produce byte-identical reports.
         sql: the grouping-sets aggregate every query computes (kept
             identical across queries so serial-equivalence comparisons
             isolate *scheduling* effects, not query mix).
@@ -95,14 +97,13 @@ class WorkloadSpec:
     target_success: float = 0.95
     collection_window: float = 5.0
     deadline: float = 12.0
-    reliability: bool = False
-    engine: str = "row"
     sql: str = (
         "SELECT count(*), avg(age) FROM health "
         "GROUP BY GROUPING SETS ((region), ())"
     )
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.n_queries <= 0:
             raise ValueError("n_queries must be positive")
         if self.arrival_process not in ARRIVAL_PROCESSES:
@@ -123,8 +124,6 @@ class WorkloadSpec:
             raise ValueError("collection_window and deadline must be positive")
         if self.deadline <= self.collection_window:
             raise ValueError("deadline must exceed the collection window")
-        if self.engine not in ("row", "columnar"):
-            raise ValueError(f"unknown engine {self.engine!r}")
 
     def arrivals(self) -> list[QueryArrival]:
         """Expand into the deterministic arrival sequence.

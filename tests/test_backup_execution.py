@@ -1,12 +1,11 @@
-"""Integration tests for the Backup strategy executor (live takeovers)."""
+"""Integration tests for Backup-strategy execution (live takeovers)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.assignment import assign_operators
-from repro.core.backup_execution import BackupExecutor
-from repro.core.execution import ExecutionError
+from repro.core.runtime import BackupStrategy, ExecutionCoordinator, ExecutionError
 from repro.core.planner import (
     EdgeletPlanner,
     PrivacyParameters,
@@ -53,7 +52,8 @@ def _swarm(n_contributors=20, n_processors=25):
     return simulator, network, devices, contributors, processors, querier, rows
 
 
-def _backup_plan(contributors, processors, querier, rows, replicas=1):
+def _backup_plan(contributors, processors, querier, rows, replicas=1,
+                 strategy="backup"):
     query = GroupByQuery(
         grouping_sets=(("region",), ()),
         aggregates=(AggregateSpec("count"), AggregateSpec("avg", "age")),
@@ -66,7 +66,7 @@ def _backup_plan(contributors, processors, querier, rows, replicas=1):
     )
     planner = EdgeletPlanner(
         privacy=PrivacyParameters(max_raw_per_edgelet=len(rows) + 1),
-        resiliency=ResiliencyParameters(strategy="backup", backup_replicas=replicas),
+        resiliency=ResiliencyParameters(strategy=strategy, backup_replicas=replicas),
     )
     plan = planner.plan(spec, contributor_ids=[d.device_id for d in contributors])
     assign_operators(plan, [d.device_id for d in processors], exclusive=False)
@@ -78,10 +78,10 @@ class TestBackupExecutor:
     def test_no_failures_primaries_only(self):
         sim, net, devices, contribs, procs, querier, rows = _swarm()
         plan, spec = _backup_plan(contribs, procs, querier, rows)
-        executor = BackupExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=60.0, secure_channels=False,
-            takeover_timeout=5.0,
+            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         report = executor.run()
         assert report.success
@@ -96,10 +96,10 @@ class TestBackupExecutor:
         sim, net, devices, contribs, procs, querier, rows = _swarm()
         plan, spec = _backup_plan(contribs, procs, querier, rows)
         victim = plan.operator("builder[0]").assigned_to
-        executor = BackupExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            takeover_timeout=5.0,
+            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         sim.schedule(1.0, lambda: net.kill(victim))
         report = executor.run()
@@ -116,10 +116,10 @@ class TestBackupExecutor:
         sim, net, devices, contribs, procs, querier, rows = _swarm()
         plan, spec = _backup_plan(contribs, procs, querier, rows)
         victim = plan.operator("computer[0,g0]").assigned_to
-        executor = BackupExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            takeover_timeout=5.0,
+            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         sim.schedule(1.0, lambda: net.kill(victim))
         report = executor.run()
@@ -132,10 +132,10 @@ class TestBackupExecutor:
         plan, spec = _backup_plan(contribs, procs, querier, rows, replicas=2)
         primary = plan.operator("builder[0]").assigned_to
         first_replica = plan.operator("builder[0].b1").assigned_to
-        executor = BackupExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=15.0, deadline=100.0, secure_channels=False,
-            takeover_timeout=5.0,
+            strategy=BackupStrategy(takeover_timeout=5.0),
         )
         sim.schedule(1.0, lambda: net.kill(primary))
         sim.schedule(1.0, lambda: net.kill(first_replica))
@@ -147,19 +147,19 @@ class TestBackupExecutor:
     def test_takeover_adds_latency(self):
         sim1, net1, dev1, c1, p1, q1, rows = _swarm()
         plan1, _ = _backup_plan(c1, p1, q1, rows)
-        fast = BackupExecutor(
+        fast = ExecutionCoordinator(
             sim1, net1, dev1, plan1,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            takeover_timeout=8.0,
+            strategy=BackupStrategy(takeover_timeout=8.0),
         ).run()
 
         sim2, net2, dev2, c2, p2, q2, rows2 = _swarm()
         plan2, _ = _backup_plan(c2, p2, q2, rows2)
         victim = plan2.operator("builder[0]").assigned_to
-        executor = BackupExecutor(
+        executor = ExecutionCoordinator(
             sim2, net2, dev2, plan2,
             collection_window=15.0, deadline=80.0, secure_channels=False,
-            takeover_timeout=8.0,
+            strategy=BackupStrategy(takeover_timeout=8.0),
         )
         sim2.schedule(1.0, lambda: net2.kill(victim))
         slow = executor.run()
@@ -186,7 +186,20 @@ class TestBackupExecutor:
         assign_operators(plan, [d.device_id for d in procs], exclusive=False)
         plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
         with pytest.raises(ExecutionError):
-            BackupExecutor(
+            ExecutionCoordinator(
                 sim, net, devices, plan,
                 collection_window=10.0, deadline=30.0,
+                strategy=BackupStrategy(),
+            )
+
+    def test_rejects_non_backup_plan(self):
+        sim, net, devices, contribs, procs, querier, rows = _swarm()
+        plan, _ = _backup_plan(
+            contribs, procs, querier, rows, strategy="overcollection"
+        )
+        with pytest.raises(ExecutionError, match="backup-strategy plan"):
+            ExecutionCoordinator(
+                sim, net, devices, plan,
+                collection_window=15.0, deadline=60.0, secure_channels=False,
+                strategy=BackupStrategy(),
             )

@@ -20,6 +20,7 @@ from repro.chaos import (
     run_single,
     shrink_failure_plan,
 )
+from repro.core.runtime import ExecutionOptions
 from repro.network.failures import FailureEvent, FailurePlan
 from repro.telemetry import Telemetry
 
@@ -113,6 +114,21 @@ class TestRunDeterminism:
         for field in ("outage_spec", "outage_plan", "detector", "fencing"):
             del data[field]
         legacy = RunSpec.from_dict(json.loads(json.dumps(data)))
+        assert _result_fingerprint(run_single(legacy)) == _result_fingerprint(
+            run_single(spec)
+        )
+
+    def test_artifact_without_execution_options_replays_identically(self):
+        # an artifact predating every execution option loads with all
+        # five at their defaults and executes the same run
+        spec = RunSpec(seed=21, tag="no-options", message_loss=0.2)
+        data = spec.to_dict()
+        for field in ("reliability", "phase_deadline", "detector", "fencing",
+                      "engine"):
+            del data[field]
+        legacy = RunSpec.from_dict(json.loads(json.dumps(data)))
+        assert legacy.options_dict() == ExecutionOptions().options_dict()
+        assert legacy == spec
         assert _result_fingerprint(run_single(legacy)) == _result_fingerprint(
             run_single(spec)
         )

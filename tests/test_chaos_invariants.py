@@ -222,6 +222,28 @@ class TestOnRealRuns:
         record = RunRecord(result=outcome.result, reference=outcome.reference)
         assert check_combiner_dedup(record) is None
 
+    def test_failure_within_tolerance_at_live_combiner_is_a_violation(self):
+        # a coordinator run whose live combiner heard every group with
+        # lost <= m, yet whose report failed with no message-level loss
+        # to explain it: the damage was within tolerance, so the failure
+        # breaks Resiliency
+        from repro.chaos.campaign import RunSpec, run_single
+
+        outcome = run_single(RunSpec(seed=3, tag="inv-tolerance"))
+        executor = outcome.result.executor
+        tallies = executor.combiners["combiner"].group_tallies
+        assert tallies and all(
+            t.received_count > 0 and t.lost_count <= t.config.m
+            for t in tallies
+        )
+        outcome.result.report.success = False
+        outcome.result.report.network_stats = {}
+        record = RunRecord(result=outcome.result, reference=outcome.reference)
+        violation = check_resiliency(record)
+        assert violation is not None
+        assert violation.invariant == "resiliency"
+        assert "damage within tolerance" in violation.detail
+
 
 class TestColumnarEngineLegs:
     """The chaos surface re-run under the columnar operator engine.

@@ -252,3 +252,56 @@ class TestWorkloadCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "clean=False" in out
+
+    def test_chaos_workload_rejects_outage_knobs(self, capsys):
+        code = main([
+            "chaos", "--workload", "3", "--seed", "1",
+            "--fault-mix", "partition=0.3",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "chaos --workload --fault-mix takes message knobs only" in err
+
+    def test_chaos_workload_routes_message_knobs(self, capsys):
+        code = main([
+            "chaos", "--workload", "3", "--seed", "1",
+            "--failure-probability", "0.0", "--processors", "40",
+            "--fault-mix", "duplicate=0.2",
+        ])
+        assert code == 0
+        assert "clean=False" in capsys.readouterr().out
+
+    def test_chaos_workload_passes_execution_options(self, monkeypatch, capsys):
+        import repro.chaos
+
+        seen = []
+        real = repro.chaos.run_workload
+
+        def spy(spec, config, telemetry=None):
+            seen.append(spec)
+            return real(spec, config, telemetry=telemetry)
+
+        monkeypatch.setattr(repro.chaos, "run_workload", spy)
+        code = main([
+            "chaos", "--workload", "2", "--seed", "1",
+            "--failure-probability", "0.0", "--processors", "40",
+            "--reliability", "--detector", "--fencing",
+            "--phase-deadline", "9", "--engine", "columnar",
+        ])
+        assert code == 0
+        (spec,) = seen
+        assert spec.options_dict() == {
+            "reliability": True, "phase_deadline": 9.0, "detector": True,
+            "fencing": True, "engine": "columnar",
+        }
+
+    @pytest.mark.parametrize("soak", [False, True])
+    def test_continuous_rejects_outage_knobs(self, capsys, soak):
+        argv = ["continuous", "--windows", "1", "--fault-mix", "gray=0.2"]
+        if soak:
+            argv.append("--check-invariants")
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "continuous --fault-mix takes message knobs only" in err

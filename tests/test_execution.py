@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.assignment import assign_operators
-from repro.core.execution import EdgeletExecutor, ExecutionError
+from repro.core.runtime import ExecutionCoordinator, ExecutionError
 from repro.core.planner import (
     EdgeletPlanner,
     PrivacyParameters,
@@ -86,7 +86,7 @@ class TestAggregateExecution:
             privacy=PrivacyParameters(max_raw_per_edgelet=25),
             resiliency=ResiliencyParameters(fault_rate=0.01),
         )
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
         )
@@ -111,7 +111,7 @@ class TestAggregateExecution:
             snapshot_cardinality=len(rows), group_by=_aggregate_query(),
         )
         plan = _plan_and_assign(contribs, procs, querier, spec)
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=True,
         )
@@ -132,7 +132,7 @@ class TestAggregateExecution:
             resiliency=ResiliencyParameters(fault_rate=0.2),
         )
         victim = plan.operator("computer[0,g0]").assigned_to
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
         )
@@ -150,7 +150,7 @@ class TestAggregateExecution:
         )
         plan = _plan_and_assign(contribs, procs, querier, spec)
         combiner_device = plan.operator("combiner").assigned_to
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
         )
@@ -166,7 +166,7 @@ class TestAggregateExecution:
             snapshot_cardinality=len(rows), group_by=_aggregate_query(),
         )
         plan = _plan_and_assign(contribs, procs, querier, spec)
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
         )
@@ -188,7 +188,7 @@ class TestAggregateExecution:
             resiliency=ResiliencyParameters(fault_rate=0.2),
         )
         victim = plan.operator("computer[0,g0]").assigned_to
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
         )
@@ -208,7 +208,7 @@ class TestAggregateExecution:
             snapshot_cardinality=10, group_by=_aggregate_query(),
         )
         plan = _plan_and_assign(contribs, procs, querier, spec)
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=30.0, secure_channels=False,
         ).run()
@@ -226,7 +226,7 @@ class TestAggregateExecution:
         )
         plan = _plan_and_assign(contribs, procs, querier, spec)
         with pytest.raises(ExecutionError):
-            EdgeletExecutor(
+            ExecutionCoordinator(
                 sim, net, devices, plan, collection_window=50.0, deadline=40.0,
             )
 
@@ -249,7 +249,7 @@ class TestKMeansExecution:
             contribs, procs, querier, spec,
             privacy=PrivacyParameters(max_raw_per_edgelet=30),
         )
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=80.0, secure_channels=False,
         )
@@ -277,7 +277,7 @@ class TestKMeansExecution:
             resiliency=ResiliencyParameters(fault_rate=0.2),
         )
         victim = plan.operator("computer[0,g0]").assigned_to
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=80.0, secure_channels=False,
         )
@@ -304,7 +304,7 @@ class TestSketchAggregatesDistributed:
             snapshot_cardinality=len(rows), group_by=query,
         )
         plan = _plan_and_assign(contribs, procs, querier, spec)
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
         ).run()
@@ -328,7 +328,7 @@ class TestSketchAggregatesDistributed:
             snapshot_cardinality=len(rows), group_by=query,
         )
         plan = _plan_and_assign(contribs, procs, querier, spec)
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=20.0, deadline=60.0, secure_channels=False,
         ).run()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.assignment import assign_operators
-from repro.core.execution import EdgeletExecutor
+from repro.core.runtime import ExecutionCoordinator
 from repro.core.planner import (
     EdgeletPlanner,
     PrivacyParameters,
@@ -78,7 +78,7 @@ class TestCollectionEdgeCases:
             snapshot_cardinality=10, group_by=_query(),
         )
         plan = _plan(contribs, procs, querier, spec)
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=30.0, secure_channels=False,
         ).run()
@@ -93,7 +93,7 @@ class TestCollectionEdgeCases:
             snapshot_cardinality=10, group_by=_query(where=impossible),
         )
         plan = _plan(contribs, procs, querier, spec)
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=30.0, secure_channels=False,
         ).run()
@@ -112,7 +112,7 @@ class TestCollectionEdgeCases:
             contribs, procs, querier, spec,
             privacy=PrivacyParameters(max_raw_per_edgelet=10),
         )
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
         ).run()
@@ -129,22 +129,22 @@ class TestCollectionEdgeCases:
             snapshot_cardinality=100, group_by=_query(),
         )
         plan = _plan(contribs, procs, querier, spec)
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
         )
         # keep one contributor offline until after the collection window;
         # its buffered contribution must not enter the frozen snapshot
         victim = contribs[0].device_id
-        executor._attach_handlers()
+        executor.attach_handlers()
         net.set_online(victim, False)
         sim.schedule(15.0, lambda: net.set_online(victim, True))
-        executor._schedule_contributions()
-        sim.schedule_at(executor.collect_end, executor._end_collection)
-        sim.schedule_at(executor.deadline_at, executor._finalize)
+        executor.contributor.schedule_contributions()
+        sim.schedule_at(executor.collect_end, executor.end_collection)
+        sim.schedule_at(executor.deadline_at, executor.finalize)
         sim.run_until(executor.deadline_at + 10.0)
         assert executor.report.success or True  # snapshot semantics below
-        collected = sum(len(b) for b in executor._builder_rows.values())
+        collected = sum(len(b) for b in executor.builder_rows.values())
         assert collected <= len(rows) - 2  # the late rows are absent
 
 
@@ -156,7 +156,7 @@ class TestDeliveryEdgeCases:
             snapshot_cardinality=100, group_by=_query(),
         )
         plan = _plan(contribs, procs, querier, spec)
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
         )
@@ -171,7 +171,7 @@ class TestDeliveryEdgeCases:
             snapshot_cardinality=100, group_by=_query(),
         )
         plan = _plan(contribs, procs, querier, spec)
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
         )
@@ -187,7 +187,7 @@ class TestDeliveryEdgeCases:
             snapshot_cardinality=100, group_by=_query(),
         )
         plan = _plan(contribs, procs, querier, spec)
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
         ).run()
@@ -224,7 +224,7 @@ class TestVerticalPartitionExecution:
             ),
         )
         assert len(plan.metadata["column_groups"]) == 3
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
         ).run()
@@ -263,7 +263,7 @@ class TestVerticalPartitionExecution:
                 separated_pairs=(("age", "bmi"),),
             ),
         )
-        report = EdgeletExecutor(
+        report = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=10.0, deadline=40.0, secure_channels=False,
         ).run()

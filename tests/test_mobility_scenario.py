@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.assignment import assign_operators
-from repro.core.execution import EdgeletExecutor
+from repro.core.runtime import ExecutionCoordinator
 from repro.core.planner import (
     EdgeletPlanner,
     PrivacyParameters,
@@ -79,7 +79,7 @@ class TestDomYcileRounds:
         assign_operators(plan, [p.device_id for p in procs], exclusive=False)
         plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
 
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=120.0, deadline=180.0, secure_channels=False,
         )
@@ -110,7 +110,7 @@ class TestDomYcileRounds:
             plan = planner.plan(spec, contributor_ids=[b.device_id for b in boxes])
             assign_operators(plan, [p.device_id for p in procs], exclusive=False)
             plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
-            executor = EdgeletExecutor(
+            executor = ExecutionCoordinator(
                 sim, net, devices, plan,
                 collection_window=120.0, deadline=180.0, secure_channels=False,
             )
@@ -142,7 +142,7 @@ class TestDomYcileRounds:
         plan = planner.plan(spec, contributor_ids=[b.device_id for b in boxes])
         assign_operators(plan, [p.device_id for p in procs], exclusive=False)
         plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
-        executor = EdgeletExecutor(
+        executor = ExecutionCoordinator(
             sim, net, devices, plan,
             collection_window=120.0, deadline=180.0, secure_channels=False,
         )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.assignment import assign_operators
-from repro.core.execution import EdgeletExecutor, ExecutionError
+from repro.core.runtime import ExecutionCoordinator, ExecutionError
 from repro.core.planner import EdgeletPlanner, PrivacyParameters, QuerySpec
 from repro.core.qep import OperatorRole
 from repro.data.health import generate_health_rows
@@ -57,7 +57,7 @@ def _run(loss: float, copies: int, seed: int = 5):
     assign_operators(plan, [d.device_id for d in processors], exclusive=False)
     plan.operators(OperatorRole.QUERIER)[0].assigned_to = querier.device_id
 
-    executor = EdgeletExecutor(
+    executor = ExecutionCoordinator(
         simulator, network, devices, plan,
         collection_window=15.0, deadline=50.0, secure_channels=False,
         contribution_copies=copies, seed=seed,
